@@ -66,6 +66,11 @@ type Analysis struct {
 	// constant term and per-state attribution is empty.
 	RegressionErr error
 
+	// Single, Multi and States are the per-resource activity and
+	// power-state timelines. Each timeline is sorted by Start and its
+	// segments are pairwise disjoint with End > Start: the builders only
+	// append [open, at) with at > open, and unwrapped time never decreases.
+	// EnergyByActivity's merge walk relies on this.
 	Single map[core.ResourceID]*ActTimeline
 	Multi  map[core.ResourceID]*MultiTimeline
 	States map[core.ResourceID][]StateSegment
@@ -181,61 +186,85 @@ func (a *Analysis) EnergyByResource() (map[core.ResourceID]float64, float64) {
 // reported under ConstLabel.
 func (a *Analysis) EnergyByActivity() map[core.Label]float64 {
 	out := make(map[core.Label]float64)
-
 	for _, res := range a.stateResources() {
-		for _, seg := range a.States[res] {
-			if seg.State == 0 {
-				continue
-			}
-			mw, ok := a.Reg.PowerMW[Predictor{res, seg.State}]
-			if !ok {
-				continue
-			}
-			a.chargeWindow(res, seg.Start, seg.End, mw, out)
-		}
+		a.chargeResource(res, out)
 	}
 	out[ConstLabel] += a.Reg.ConstMW * float64(a.Span()) / 1000
 	return out
 }
 
-// chargeWindow distributes mw over [start, end) according to res's activity
-// timeline.
-func (a *Analysis) chargeWindow(res core.ResourceID, start, end int64, mw float64, out map[core.Label]float64) {
-	charge := func(l core.Label, us int64) {
-		if us > 0 {
-			out[l] += mw * float64(us) / 1000
+// chargeResource distributes res's fitted power over each of its non-baseline
+// state segments according to res's activity timeline. Both timelines are
+// sorted and disjoint, so the activity segments overlapping one state segment
+// form a contiguous run that starts no earlier than the previous state
+// segment's run: one cursor walks the activity timeline forward, and the
+// whole resource costs O(S + A). Overlapping pairs are charged in the same
+// order as a full rescan would, so the sums are bit-identical to it.
+func (a *Analysis) chargeResource(res core.ResourceID, out map[core.Label]float64) {
+	tl, mt := a.Single[res], a.Multi[res]
+	cur := 0
+	for _, seg := range a.States[res] {
+		if seg.State == 0 {
+			continue
+		}
+		mw, ok := a.Reg.PowerMW[Predictor{res, seg.State}]
+		if !ok {
+			continue
+		}
+		switch {
+		case tl != nil:
+			cur = a.chargeSingle(tl.Segs, cur, seg.Start, seg.End, mw, out)
+		case mt != nil:
+			cur = a.chargeMulti(mt.Segs, cur, seg.Start, seg.End, mw, out)
+		default:
+			// No activity instrumentation on this resource: unattributed.
+			out[ConstLabel] += mw * float64(seg.End-seg.Start) / 1000
 		}
 	}
-	if tl := a.Single[res]; tl != nil {
-		for _, s := range tl.Segs {
-			lo, hi := maxi64(s.Start, start), mini64(s.End, end)
-			if hi > lo {
-				charge(a.ownerOf(s), hi-lo)
+}
+
+// chargeSingle charges mw over [start, end) to the owners of the segments
+// from segs[cur:] that overlap it, and returns the cursor for the next,
+// later window: the first segment that ends after start.
+func (a *Analysis) chargeSingle(segs []Segment, cur int, start, end int64, mw float64, out map[core.Label]float64) int {
+	for cur < len(segs) && segs[cur].End <= start {
+		cur++
+	}
+	for i := cur; i < len(segs) && segs[i].Start < end; i++ {
+		s := &segs[i]
+		lo, hi := maxi64(s.Start, start), mini64(s.End, end)
+		if hi > lo {
+			out[a.ownerOf(*s)] += mw * float64(hi-lo) / 1000
+		}
+	}
+	return cur
+}
+
+// chargeMulti is chargeSingle for a multi-activity timeline: each
+// overlapping stretch is split among its label set by the split policy, and
+// stretches with no label are unattributed hardware-on time.
+func (a *Analysis) chargeMulti(segs []MultiSegment, cur int, start, end int64, mw float64, out map[core.Label]float64) int {
+	for cur < len(segs) && segs[cur].End <= start {
+		cur++
+	}
+	for i := cur; i < len(segs) && segs[i].Start < end; i++ {
+		s := &segs[i]
+		lo, hi := maxi64(s.Start, start), mini64(s.End, end)
+		if hi <= lo {
+			continue
+		}
+		switch {
+		case len(s.Labels) == 0:
+			out[ConstLabel] += mw * float64(hi-lo) / 1000
+		case a.Opts.Split == SplitFirst:
+			out[s.Labels[0]] += mw * float64(hi-lo) / 1000
+		default:
+			for _, l := range s.Labels {
+				out[l] += mw * float64(hi-lo) / 1000 / float64(len(s.Labels))
 			}
 		}
-		return
 	}
-	if mt := a.Multi[res]; mt != nil {
-		for _, s := range mt.Segs {
-			lo, hi := maxi64(s.Start, start), mini64(s.End, end)
-			if hi <= lo {
-				continue
-			}
-			switch {
-			case len(s.Labels) == 0:
-				charge(ConstLabel, hi-lo) // unattributed hardware-on time
-			case a.Opts.Split == SplitFirst:
-				charge(s.Labels[0], hi-lo)
-			default:
-				for _, l := range s.Labels {
-					out[l] += mw * float64(hi-lo) / 1000 / float64(len(s.Labels))
-				}
-			}
-		}
-		return
-	}
-	// No activity instrumentation on this resource: unattributed.
-	charge(ConstLabel, end-start)
+	return cur
 }
 
 // TotalEnergyUJ returns the meter-observed energy over the span.

@@ -38,8 +38,9 @@ func NetworkFootprint(seed uint64) (*Report, error) {
 
 	total := net.EnergyByActivity()[relay.Act]
 	remote := net.RemoteEnergyUJ(relay.Act)
+	footprint := net.Footprint(relay.Act)
 	fmt.Fprintf(&sb, "\nFootprint of %s:\n", relay.World.Dict.LabelName(relay.Act))
-	for _, share := range net.Footprint(relay.Act) {
+	for _, share := range footprint {
 		fmt.Fprintf(&sb, "  node %d: %8.3f mJ\n", share.Node, share.EnergyUJ/1000)
 	}
 	fmt.Fprintf(&sb, "Remote share: %.1f%% of the activity's energy is spent away from its origin.\n",
@@ -51,6 +52,6 @@ func NetworkFootprint(seed uint64) (*Report, error) {
 	r.Values["delivered"] = float64(del)
 	r.Values["total_mJ"] = total / 1000
 	r.Values["remote_frac"] = remote / total
-	r.Values["nodes_in_footprint"] = float64(len(net.Footprint(relay.Act)))
+	r.Values["nodes_in_footprint"] = float64(len(footprint))
 	return r, nil
 }

@@ -1,5 +1,6 @@
 // Benchmarks for the streaming event pipeline: k-way trace merge, batched
-// codec throughput, sink fan-out, and end-to-end single-pass analysis.
+// codec throughput, sink fan-out, end-to-end single-pass analysis, and the
+// per-activity attribution fold on its own.
 //
 // The headline pair is BenchmarkPipelineStreaming1M vs
 // BenchmarkPipelineConcatSortBaseline1M: both merge the same 4-node,
@@ -19,7 +20,9 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/core"
+	"repro/internal/scenario"
 	"repro/internal/trace"
+	"repro/internal/traffic"
 )
 
 // synthNodeLogs builds a deterministic 4-node workload that looks like a
@@ -474,4 +477,45 @@ func BenchmarkFanoutSingle(b *testing.B) {
 			tee.Record(e)
 		}
 	}
+}
+
+// BenchmarkAttribution measures the attribution fold alone (Table 3(d),
+// Analysis.EnergyByActivity) over every node of one relay run: a 12-node
+// line with 4 origins offering a constant 50 packets/s each, more than the
+// radio carries, so the logs are dense. The run is simulated and analyzed
+// once, before the timed loop; ns/segment divides the fold's time by the
+// state plus activity segments it walks.
+func BenchmarkAttribution(b *testing.B) {
+	spec := benchTrafficRelaySpec()
+	spec.Traffic = &traffic.Spec{Shape: traffic.ShapeConstant, RPS: 50}
+	in, err := scenario.Build(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	in.Run()
+	net, err := in.Network()
+	if err != nil {
+		b.Fatal(err)
+	}
+	var nodes []*analysis.Analysis
+	segs := 0
+	for _, a := range net.Nodes {
+		nodes = append(nodes, a)
+		for _, ss := range a.States {
+			segs += len(ss)
+		}
+		for _, tl := range a.Single {
+			segs += len(tl.Segs)
+		}
+		for _, mt := range a.Multi {
+			segs += len(mt.Segs)
+		}
+	}
+	for b.Loop() {
+		for _, a := range nodes {
+			a.EnergyByActivity()
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(segs), "ns/segment")
+	b.ReportMetric(float64(segs), "segments")
 }
