@@ -16,7 +16,9 @@
 //
 // Compare a fresh run against the committed baseline (exit 1 on >15%
 // allocs/op regression, warning annotations for time, which is noisy on
-// shared runners; -fail-on time,allocs tightens it):
+// shared runners; -fail-on time,allocs tightens it). A row whose
+// events/run or entries/run differs from the baseline also exits 1, as
+// "workload changed — re-record": it measured a different workload:
 //
 //	go test -run '^$' -bench Benchmark10kNodeRelay -benchmem -benchtime 3x . |
 //	    benchjson -suite core -compare BENCH_core.json
@@ -88,7 +90,7 @@ func main() {
 			}
 		}
 		report := benchfmt.Compare(base, doc, *threshold)
-		sort.Slice(report, func(i, j int) bool { return report[i].Name < report[j].Name })
+		sort.SliceStable(report, func(i, j int) bool { return report[i].Name < report[j].Name })
 		bad := false
 		for _, d := range report {
 			line := fmt.Sprintf("%s: %s %.4g -> %.4g (%+.1f%%)", d.Name, d.Dimension, d.Base, d.Current, 100*d.Delta)
@@ -101,6 +103,14 @@ func main() {
 				// treat it as a failure, not a warning.
 				bad = true
 				fmt.Printf("::error title=bench-compare::%s: in baseline but not in this run\n", d.Name)
+			case d.Dimension == "workload":
+				// The row ran a different workload than the baseline
+				// recorded (its deterministic fingerprint moved), so its
+				// time and allocs deltas compare unlike things. Fail until
+				// the baseline is re-recorded, whatever -fail-on says.
+				bad = true
+				fmt.Printf("::error title=bench-workload::%s: workload changed — re-record (%s %.0f -> %.0f)\n",
+					d.Name, d.Metric, d.Base, d.Current)
 			case d.Delta > *threshold && failDims[d.Dimension]:
 				bad = true
 				fmt.Printf("::error title=bench-regression::%s\n", line)
@@ -111,7 +121,7 @@ func main() {
 			}
 		}
 		if bad {
-			fmt.Fprintf(os.Stderr, "benchjson: regression beyond %.0f%% vs %s\n", 100**threshold, *compare)
+			fmt.Fprintf(os.Stderr, "benchjson: regression, workload change or missing benchmark vs %s (threshold %.0f%%)\n", *compare, 100**threshold)
 			os.Exit(1)
 		}
 	}

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -33,6 +35,12 @@ func TestRunUsageErrors(t *testing.T) {
 			args:   []string{"sweep", "-no-such-flag", "spec.json"},
 			code:   2,
 			stderr: []string{"-no-such-flag", "usage: quanto-trace"},
+		},
+		{
+			name:   "removed partitions flag",
+			args:   []string{"sweep", "-partitions", "2", "spec.json"},
+			code:   2,
+			stderr: []string{"-partitions", "usage: quanto-trace"},
 		},
 		{
 			name:   "gen arity",
@@ -77,5 +85,30 @@ func TestRunUsageErrors(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSweepRejectsPartitionsField: spec files written for the removed
+// partitioned stepper must fail loudly on the unknown field, not run
+// silently as serial runs.
+func TestSweepRejectsPartitionsField(t *testing.T) {
+	dir := t.TempDir()
+	for name, doc := range map[string]string{
+		"spec.json":   `{"app":"blink","duration_us":1000000,"partitions":2}`,
+		"matrix.json": `{"base":{"app":"blink","duration_us":1000000,"partitions":2},"seeds":2}`,
+	} {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, cmd := range []string{"sweep", "lifetime"} {
+			var stderr strings.Builder
+			if got := run([]string{cmd, path}, &stderr); got != 1 {
+				t.Errorf("%s %s: exit %d, want 1 (stderr: %s)", cmd, name, got, stderr.String())
+			}
+			if want := `unknown field "partitions"`; !strings.Contains(stderr.String(), want) {
+				t.Errorf("%s %s: stderr missing %q:\n%s", cmd, name, want, stderr.String())
+			}
+		}
 	}
 }

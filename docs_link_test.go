@@ -96,7 +96,7 @@ func TestDocsMentionNewLayers(t *testing.T) {
 	for _, want := range []string{
 		"internal/power", "internal/scenario", "internal/analysis",
 		"Battery", "determinism", "Sink",
-		"internal/sim/partition.go", "lookahead",
+		"No intra-run parallel stepper", "scenario.Runner",
 		"internal/traffic", "replay",
 		"internal/lint", "quantovet", "quanto:ordered", "quanto:wallclock",
 		"internal/net", "collection tree", "NeighborDied", "mobility",

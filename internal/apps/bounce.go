@@ -31,7 +31,7 @@ type Bounce struct {
 
 	received [2]uint64
 	sent     [2]uint64
-	// Shaped-load injection counters (single-writer per node, summed by the
+	// Shaped-load injection counters (per node, summed by the
 	// accessors): packets the traffic schedule offered, and the subset
 	// dropped because the node's radio was still transmitting.
 	injected    [2]uint64
@@ -54,9 +54,6 @@ type BounceConfig struct {
 	// Queue selects the simulator event queue ("" or "wheel": timer wheel;
 	// "heap": the legacy binary-heap baseline). Results are identical.
 	Queue string
-	// World, when set, is the pre-built (possibly partitioned) world to
-	// populate; nil builds a serial world from seed and Queue.
-	World *mote.World
 	// Traffic, when non-nil, replaces the two boot kicks with shaped packet
 	// injection: slot 0 drives NodeA, slot 1 NodeB, and every scheduled
 	// injection starts a fresh packet bouncing (dropped while the node's
@@ -82,10 +79,7 @@ func NewBounce(seed uint64, cfg BounceConfig) *Bounce {
 	if cfg.HoldTime == 0 {
 		cfg.HoldTime = 220 * units.Millisecond
 	}
-	w := cfg.World
-	if w == nil {
-		w = mote.NewWorldQueue(seed, cfg.Queue)
-	}
+	w := mote.NewWorldQueue(seed, cfg.Queue)
 	b := &Bounce{World: w, HoldTime: cfg.HoldTime}
 
 	ids := [2]core.NodeID{cfg.NodeA, cfg.NodeB}

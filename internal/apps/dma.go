@@ -38,12 +38,6 @@ func NewDMACompare(seed uint64, useDMA bool, payloadBytes int, startAt units.Tic
 
 // NewDMACompareQueue is NewDMACompare with an explicit event-queue selection.
 func NewDMACompareQueue(seed uint64, queue string, useDMA bool, payloadBytes int, startAt units.Ticks, base ...mote.Options) *DMACompare {
-	return NewDMACompareWorld(mote.NewWorldQueue(seed, queue), useDMA, payloadBytes, startAt, base...)
-}
-
-// NewDMACompareWorld is NewDMACompare populating a pre-built (possibly
-// partitioned) world.
-func NewDMACompareWorld(w *mote.World, useDMA bool, payloadBytes int, startAt units.Ticks, base ...mote.Options) *DMACompare {
 	mkOpts := func(idx int) mote.Options {
 		o := mote.DefaultOptions()
 		if len(base) > 0 {
@@ -56,6 +50,7 @@ func NewDMACompareWorld(w *mote.World, useDMA bool, payloadBytes int, startAt un
 		o.RadioConfig = radio.Config{Channel: 26, UseDMA: useDMA}
 		return o
 	}
+	w := mote.NewWorldQueue(seed, queue)
 	d := &DMACompare{World: w}
 	d.Node = w.AddNode(1, mkOpts(0))
 	d.Peer = w.AddNode(2, mkOpts(1))

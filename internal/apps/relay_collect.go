@@ -39,18 +39,8 @@ func newCollectRelay(seed uint64, cfg RelayConfig) *Relay {
 	if cfg.Routing != "ctp" {
 		panic(fmt.Sprintf("apps: unknown routing plane %q (want \"ctp\")", cfg.Routing))
 	}
-	w := cfg.World
-	if w == nil {
-		w = mote.NewWorldQueue(seed, cfg.Queue)
-	}
-	r := &Relay{
-		World:     w,
-		period:    cfg.Period,
-		generated: make([]uint64, cfg.Hops),
-		dropped:   make([]uint64, cfg.Hops),
-		noRoute:   make([]uint64, cfg.Hops),
-		ttlDrops:  make([]uint64, cfg.Hops),
-	}
+	w := mote.NewWorldQueue(seed, cfg.Queue)
+	r := &Relay{World: w, period: cfg.Period}
 
 	for i := 0; i < cfg.Hops; i++ {
 		opts := mote.DefaultOptions()
@@ -104,7 +94,7 @@ func newCollectRelay(seed uint64, cfg RelayConfig) *Relay {
 		xmit := func() bool {
 			parent, ok := rt.Parent()
 			if !ok {
-				r.noRoute[i]++
+				r.noRoute++
 				return true
 			}
 			if n.Radio.Busy() {
@@ -125,10 +115,10 @@ func newCollectRelay(seed uint64, cfg RelayConfig) *Relay {
 			held = false
 		})
 		send := func() {
-			r.generated[i]++
+			r.generated++
 			if held {
 				// The single buffer already holds a deferred packet.
-				r.dropped[i]++
+				r.dropped++
 				return
 			}
 			if !xmit() {
@@ -178,18 +168,18 @@ func newCollectRelay(seed uint64, cfg RelayConfig) *Relay {
 			if len(p.Payload) == 0 || p.Payload[0] == 0 {
 				// Hop budget exhausted: a transient loop while the tree
 				// re-forms. Retire the packet instead of orbiting.
-				r.ttlDrops[i]++
+				r.ttlDrops++
 				return
 			}
 			hop := p.Payload[0] - 1
 			n.K.Post(func() {
 				parent, ok := rt.Parent()
 				if !ok {
-					r.noRoute[i]++
+					r.noRoute++
 					return
 				}
 				if n.Radio.Busy() {
-					r.dropped[i]++
+					r.dropped++
 					return
 				}
 				payload := append([]byte(nil), p.Payload...)

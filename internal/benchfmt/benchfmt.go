@@ -134,11 +134,22 @@ func Load(path string) (*Doc, error) {
 	return &doc, nil
 }
 
+// fingerprints are the custom metrics that identify a benchmark's workload
+// rather than measure it: deterministic counts that only move when the
+// simulated work itself changes (a re-derived placement, a new event
+// source). A row whose fingerprint differs from the baseline's is measuring
+// a different workload, so its time and allocs deltas say nothing about the
+// code until the baseline is re-recorded.
+var fingerprints = []string{"events/run", "entries/run"}
+
 // Delta is one compared dimension of one benchmark. Delta is the relative
 // change versus the baseline: +0.20 means 20% worse (slower, more allocs).
 type Delta struct {
-	Name      string
-	Dimension string // "time" or "allocs"
+	Name string
+	// Dimension is "time", "allocs", or "workload" (a fingerprint metric,
+	// named by Metric, that differs from the baseline).
+	Dimension string
+	Metric    string
 	Base      float64
 	Current   float64
 	Delta     float64
@@ -148,8 +159,11 @@ type Delta struct {
 // Compare diffs current against base on the regression-relevant dimensions.
 // Benchmarks only present in current are new coverage, not regressions, and
 // are skipped; baseline entries missing from current are flagged so a
-// silently deleted benchmark cannot hide a regression. The threshold is not
-// applied here — every delta is returned and the caller picks severity.
+// silently deleted benchmark cannot hide a regression. Every fingerprint
+// metric the baseline row carries must match exactly; each one that does
+// not yields a "workload" delta, reported next to (never instead of) the
+// time and allocs deltas. The threshold is not applied here — every delta
+// is returned and the caller picks severity.
 func Compare(base, current *Doc, threshold float64) []Delta {
 	cur := map[string]Benchmark{}
 	for _, b := range current.Benchmarks {
@@ -161,6 +175,17 @@ func Compare(base, current *Doc, threshold float64) []Delta {
 		if !ok {
 			out = append(out, Delta{Name: bb.Name, Missing: true})
 			continue
+		}
+		for _, unit := range fingerprints {
+			want, ok := bb.Metrics[unit]
+			if !ok || cb.Metrics[unit] == want {
+				continue
+			}
+			out = append(out, Delta{
+				Name: bb.Name, Dimension: "workload", Metric: unit,
+				Base: want, Current: cb.Metrics[unit],
+				Delta: cb.Metrics[unit]/want - 1,
+			})
 		}
 		if bb.NsPerOp > 0 {
 			out = append(out, Delta{

@@ -87,6 +87,54 @@ func TestCompare(t *testing.T) {
 	}
 }
 
+// TestCompareWorkloadFingerprint: a row whose events/run or entries/run
+// moved measured a different workload, so Compare flags it as a "workload"
+// delta while still reporting its time and allocs deltas.
+func TestCompareWorkloadFingerprint(t *testing.T) {
+	row := func(metrics map[string]float64) *Doc {
+		return &Doc{Benchmarks: []Benchmark{{
+			Name: "10kNodeRelay/queue=wheel", NsPerOp: 100, AllocsPerOp: 1000, Metrics: metrics,
+		}}}
+	}
+	cases := []struct {
+		name       string
+		base, cur  map[string]float64
+		wantMetric []string // fingerprint metrics expected as workload deltas
+	}{
+		{"unchanged", map[string]float64{"events/run": 416261}, map[string]float64{"events/run": 416261}, nil},
+		{"events moved", map[string]float64{"events/run": 416261}, map[string]float64{"events/run": 655001}, []string{"events/run"}},
+		{"entries moved", map[string]float64{"events/run": 10, "entries/run": 5}, map[string]float64{"events/run": 10, "entries/run": 6}, []string{"entries/run"}},
+		{"both moved", map[string]float64{"events/run": 10, "entries/run": 5}, map[string]float64{"events/run": 11, "entries/run": 6}, []string{"events/run", "entries/run"}},
+		{"fingerprint dropped", map[string]float64{"events/run": 10}, nil, []string{"events/run"}},
+		{"baseline without fingerprint", nil, map[string]float64{"events/run": 10}, nil},
+		{"non-fingerprint metric moved", map[string]float64{"events/sec": 1e6}, map[string]float64{"events/sec": 2e6}, nil},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cur := row(tc.cur)
+			cur.Benchmarks[0].AllocsPerOp = 2000
+			var got []string
+			dims := map[string]bool{}
+			for _, d := range Compare(row(tc.base), cur, 0.15) {
+				dims[d.Dimension] = true
+				if d.Dimension == "workload" {
+					got = append(got, d.Metric)
+					if d.Base != tc.base[d.Metric] || d.Current != tc.cur[d.Metric] {
+						t.Errorf("%s delta = %+v", d.Metric, d)
+					}
+				}
+			}
+			if strings.Join(got, ",") != strings.Join(tc.wantMetric, ",") {
+				t.Errorf("workload deltas = %v, want %v", got, tc.wantMetric)
+			}
+			// The allocs gate is never displaced by a workload delta.
+			if !dims["allocs"] || !dims["time"] {
+				t.Errorf("time/allocs deltas missing: %v", dims)
+			}
+		})
+	}
+}
+
 func TestParseRejectsMalformed(t *testing.T) {
 	if _, err := Parse(strings.NewReader("BenchmarkBad 3 12 ns/op trailing\n"), "x"); err == nil {
 		t.Fatal("odd field count accepted")

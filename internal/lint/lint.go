@@ -3,9 +3,9 @@
 // before a sweep ever runs.
 //
 // The simulator's load-bearing invariant — established by the scenario
-// layer's derived seeds (PR 2) and escalated by wheel/heap differential
-// testing (PR 6), partitioned stepping (PR 7) and traffic record-and-replay
-// (PR 8) — is that every run is a pure function of its Spec and seed. The
+// layer's derived seeds and relied on by wheel/heap differential testing
+// and traffic record-and-replay — is that every run is a pure function of
+// its Spec and seed. The
 // trace-identity tests prove that after the fact; the analyzers here reject
 // the classic ways the contract silently rots:
 //

@@ -6,14 +6,13 @@
 // a per-mover log. Every position read outside the index — the CCA energy
 // query above all — goes through that log keyed by query time, never through
 // the mutable position table. That makes the answer a pure function of
-// (mover, time): a partitioned run whose parallel window overruns an epoch
-// tick reads exactly what the serial run reads after executing the epoch
-// event, because both consult log[t/step]. PrepareWindow pre-extends the
-// logs (like the WiFi burst schedule) so window-time reads never mutate.
+// (mover, time): a read at the CPU's busy clock, which can run past the
+// event clock and so past an epoch tick whose event has not fired yet, sees
+// the position in force at its query time. The logs are extended lazily, on
+// the first read that needs an epoch.
 //
-// Epoch events run at PrioTopology on the medium's simulator — the shared
-// domain a partition group always steps serially — so the index itself is
-// only ever patched with every window closed.
+// Epoch events run at PrioTopology on the medium's simulator, so the index
+// is patched before any other event at the epoch tick.
 package medium
 
 import (
@@ -93,7 +92,7 @@ func (m *Medium) SetMover(id core.NodeID, mv Mover) {
 // mobilityEpoch relocates every mover to its position for the epoch starting
 // now and re-arms itself. It runs at PrioTopology, ahead of every hardware
 // and software event sharing the tick, so a transmission at the epoch tick
-// already sees the new topology — in serial and partitioned runs alike.
+// already sees the new topology.
 func (m *Medium) mobilityEpoch() {
 	at := m.s.Now()
 	k := int(at / m.mob.step)
@@ -105,9 +104,7 @@ func (m *Medium) mobilityEpoch() {
 }
 
 // positionAt resolves a node's position at time t: epoch-quantized through
-// the mover log for mobile nodes (read-only once PrepareWindow has extended
-// the logs, so parallel-window queries are race-free and see the same value
-// a serial run would), the static position table otherwise.
+// the mover log for mobile nodes, the static position table otherwise.
 func (m *Medium) positionAt(id core.NodeID, t units.Ticks) (Position, bool) {
 	if m.mob != nil {
 		if e, ok := m.mob.byID[id]; ok {

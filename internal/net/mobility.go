@@ -1,9 +1,8 @@
 // Mobility models: medium.Mover implementations that make a node's position
 // a pure, seed-derived function of simulated time. Both draw exclusively
 // from sim.DeriveRNG streams under "net/"-prefixed domain tags keyed by
-// node id, so mobile runs replay byte-identically whatever the worker or
-// partition count — and adding a mover for node 7 never shifts node 9's
-// path.
+// node id, so mobile runs replay byte-identically whatever the worker
+// count — and adding a mover for node 7 never shifts node 9's path.
 package net
 
 import (
@@ -87,8 +86,9 @@ func (w *Waypoint) extend() {
 }
 
 // PositionAt returns the walker's position at time t, materializing legs as
-// needed. Calls may come out of order (the medium pre-extends position logs
-// for parallel windows); earlier times re-read already-materialized legs.
+// needed. Calls may come out of order (a CCA read at the CPU's busy clock
+// can run ahead of the epoch events); earlier times re-read
+// already-materialized legs.
 func (w *Waypoint) PositionAt(t units.Ticks) medium.Position {
 	for w.legs[len(w.legs)-1].t1 <= t {
 		w.extend()

@@ -202,7 +202,7 @@ func TestWaypointDeterminism(t *testing.T) {
 	if !diverged {
 		t.Error("different node ids walked identical paths")
 	}
-	// Out-of-order queries (a partition window preparing ahead) re-read
+	// Out-of-order queries (a CCA read running ahead of the epochs) re-read
 	// materialized legs without changing them.
 	far := a.PositionAt(2000 * units.Second)
 	if got := a.PositionAt(100 * units.Second); got != b.PositionAt(100*units.Second) {

@@ -85,8 +85,7 @@ type RouterStats struct {
 
 // Router is one node's collection-tree state machine. All of its state is
 // touched only from the owning node's events (beacon timer, AM delivery,
-// and death notifications scheduled on the node's own simulator), so a
-// partitioned world needs no locks around it.
+// and death notifications scheduled by the Tree).
 type Router struct {
 	k   *kernel.Kernel
 	am  *am.AM
@@ -120,8 +119,8 @@ func NewRouter(k *kernel.Kernel, a *am.AM, rad *radio.Radio, cfg Config) *Router
 	if cfg.Root {
 		r.pathETX = 0
 	}
-	// Define the label here, at construction, not in Start: boot code runs
-	// on partition workers and the activity dictionary is world-shared.
+	// Defined at construction, in node creation order, so the label's id
+	// never depends on boot timing.
 	r.act = k.DefineActivity("NetBeacon")
 	a.Register(BeaconAMType, r.onBeacon)
 	return r
@@ -255,7 +254,7 @@ func (r *Router) pruneStale(now units.Ticks) {
 }
 
 // NeighborDied removes a dead node from the table immediately — the
-// topology event the Tree delivers one lookahead after a battery death —
+// topology event the Tree delivers shortly after a battery death —
 // and re-selects the parent if the dead node was it.
 func (r *Router) NeighborDied(id core.NodeID) {
 	i := sort.Search(len(r.table), func(i int) bool { return r.table[i].ID >= id })

@@ -76,16 +76,13 @@ func NewTree(w *mote.World, cfg TreeConfig) (*Tree, error) {
 // Router returns the router of the i-th node (world creation order).
 func (t *Tree) Router(i int) *Router { return t.routers[i] }
 
-// onDeath runs inside the death event (serial: a marked event in a
-// partitioned world). It must not touch the survivors' routers directly —
-// their partitions may have speculatively run ordinary events past the
-// death tick, so a synchronous mutation would be ordered differently than
-// in a serial replay. Instead each survivor gets a NeighborDied event on
-// its own simulator one conservative lookahead after the death: no
-// partition's window can have advanced that far (a window's horizon is
-// strictly below the earliest pending event plus the lookahead), so the
-// notification lands in every clock's future, at the topology priority, at
-// a per-target tick — the same total order in serial and partitioned runs.
+// onDeath runs inside the death event. Instead of touching the survivors'
+// routers synchronously, it gives each survivor a NeighborDied event at the
+// topology priority, radio.BackoffMin after the death plus a per-target
+// tick: every notification has a tick of its own, so the schedule is
+// tie-free and its order never depends on when the events were armed. The
+// delay is part of the routed workload; changing it re-derives every routed
+// run with deaths.
 func (t *Tree) onDeath(dead *mote.Node, at units.Ticks) {
 	for i, n := range t.World.Nodes {
 		if n == dead || !n.Alive() {

@@ -92,14 +92,6 @@ type Radio struct {
 	sending   bool
 	listenLbl core.Label
 
-	// txPledge announces a pending medium transmit to the partition scheduler
-	// (sim.Group): it is armed at the moment the CSMA backoff is scheduled,
-	// for the instant the backoff expires, and released inside the expiry
-	// handler right before the shared medium is touched. A radio has at most
-	// one transmission in flight (Send panics otherwise), so one slot is
-	// enough. On a plain serial simulator the pledge is bookkeeping only.
-	txPledge sim.Pledge
-
 	receive func(*medium.Frame)
 
 	// sfdFn / rxEndFn are the per-frame receive-path callbacks, created once
@@ -228,11 +220,6 @@ func (r *Radio) TurnOn(done func()) {
 // where they were, exactly like a real supply collapse freezes the last
 // logged state. Frames in the air are lost (the listening flag is cleared).
 func (r *Radio) ForceOff() {
-	// The node is dying: its kernel is being killed, so a pending backoff
-	// interrupt will never run its handler (dispatchIRQ drops interrupts on a
-	// dead CPU) and nobody else would release the transmit pledge. Leaving it
-	// armed would pin the partition scheduler's horizon forever.
-	r.k.Sim.Unpledge(&r.txPledge)
 	r.on = false
 	r.listening = false
 	r.sending = false
@@ -366,15 +353,7 @@ func (r *Radio) transferToFIFO(n int, label core.Label, next func()) {
 
 func (r *Radio) backoffAndTransmit(f *medium.Frame, label core.Label, done func()) {
 	backoff := BackoffMin + r.k.RNG().Ticks(BackoffSpan)
-	// Pledge the medium touch before scheduling it: backoff >= BackoffMin is
-	// exactly the lookahead the partition scheduler assumes, and the expiry
-	// handler below is the only place this node reaches the shared medium. If
-	// a busy CPU defers the interrupt past the pledged instant, the pledge
-	// simply stays armed — the affected span runs serially — until the
-	// handler finally executes and releases it.
-	r.k.Sim.Pledge(&r.txPledge, r.k.Sim.Now()+backoff)
 	r.ctlIRQ.RaiseAfter(backoff, func() {
-		r.k.Sim.Unpledge(&r.txPledge)
 		r.k.CPUAct.Bind(label)
 		r.k.Spend(30)
 		// The receiver shuts off for the duration of the transmission.

@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/scenario"
 	"repro/internal/trace"
+	"repro/internal/traffic"
 	"repro/internal/units"
 )
 
@@ -81,6 +82,55 @@ func TestWheelHeapTraceIdentity(t *testing.T) {
 			s.UseDMA = true
 			return s
 		}(),
+		// Mid-run battery deaths: every CPU edge cancels and re-arms a
+		// depletion check, and a death pulls a node off the medium while
+		// traffic is in flight.
+		func() scenario.Spec {
+			s := base("relay", 4*units.Second)
+			s.Nodes = 12
+			s.Origins = 4
+			s.PeriodUS = int64(250 * units.Millisecond)
+			s.Placement = scenario.PlacementLine
+			s.BatteryUAH = 0.9
+			return s
+		}(),
+		// Shaped load from private per-sender streams.
+		func() scenario.Spec {
+			s := base("relay", 3*units.Second)
+			s.Nodes = 12
+			s.Origins = 4
+			s.Placement = scenario.PlacementLine
+			s.Traffic = &traffic.Spec{
+				Shape:    traffic.ShapeOnOff,
+				RPS:      20,
+				OnMinUS:  int64(300 * units.Millisecond),
+				OffMinUS: int64(200 * units.Millisecond),
+			}
+			return s
+		}(),
+		// Routed plus deaths: NeighborDied events at the topology priority.
+		func() scenario.Spec {
+			s := base("relay", 4*units.Second)
+			s.Nodes = 10
+			s.Origins = 3
+			s.PeriodUS = int64(250 * units.Millisecond)
+			s.Placement = scenario.PlacementLine
+			s.Routing = scenario.RoutingCTP
+			s.BatteryUAH = 0.9
+			return s
+		}(),
+		// Routed plus mobility: epoch events patch the neighbor index.
+		func() scenario.Spec {
+			s := base("relay", 3*units.Second)
+			s.Nodes = 12
+			s.Origins = 4
+			s.PeriodUS = int64(250 * units.Millisecond)
+			s.Placement = scenario.PlacementGrid
+			s.Routing = scenario.RoutingCTP
+			s.Mobility = scenario.MobilityWaypoint
+			s.SpeedMPS = 12
+			return s
+		}(),
 	}
 	// Every registered app must appear above: a new app cannot ship without
 	// joining the differential suite.
@@ -99,6 +149,18 @@ func TestWheelHeapTraceIdentity(t *testing.T) {
 			v := v
 			v.Seed = seed
 			name := fmt.Sprintf("%s/seed=%d/placement=%s", v.App, seed, v.Placement)
+			if v.Traffic != nil {
+				name += "/shape=" + v.Traffic.Shape
+			}
+			if v.Routing != "" {
+				name += "/routing=" + v.Routing
+			}
+			if v.Mobility != "" {
+				name += "/mobility=" + v.Mobility
+			}
+			if v.BatteryUAH > 0 {
+				name += "/battery"
+			}
 			t.Run(name, func(t *testing.T) {
 				wheel := v
 				wheel.Queue = "wheel"

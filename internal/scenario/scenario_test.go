@@ -171,6 +171,23 @@ func TestParseSpecOrMatrix(t *testing.T) {
 	}
 }
 
+// TestParseRejectsPartitionsField: the partitioned stepper and its spec
+// field are gone, so an old spec file carrying "partitions" must fail on
+// the unknown field, whether it sits in a single spec, a matrix base, or a
+// sweep list.
+func TestParseRejectsPartitionsField(t *testing.T) {
+	for _, doc := range []string{
+		`{"app":"blink","duration_us":1000000,"partitions":2}`,
+		`{"base":{"app":"blink","duration_us":1000000,"partitions":2}}`,
+		`{"base":{"app":"blink","duration_us":1000000},"sweep":{"partitions":[1,2]}}`,
+	} {
+		_, err := scenario.ParseSpecOrMatrix([]byte(doc))
+		if err == nil || !strings.Contains(err.Error(), `unknown field "partitions"`) {
+			t.Errorf("%s: err = %v, want an unknown-field error", doc, err)
+		}
+	}
+}
+
 // TestSweepSeedExactness: seeds beyond 2^53 must survive the matrix
 // round-trip bit-exactly — both in the base spec and in a swept seed list.
 func TestSweepSeedExactness(t *testing.T) {

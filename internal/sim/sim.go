@@ -37,10 +37,10 @@ type Priority int8
 const (
 	// PrioTopology runs before everything else at an instant: topology
 	// maintenance (mobility epochs, death-driven routing notifications) must
-	// be visible to every hardware and software event sharing its tick, and
-	// the unique priority keeps topology events totally ordered against all
-	// other work by (at, prio) alone — no cross-simulator birth comparison,
-	// which a partitioned run cannot reproduce, is ever needed.
+	// be visible to every hardware and software event sharing its tick. The
+	// unique priority also totally orders topology events against all other
+	// work at that tick by (at, prio) alone, independent of the order in
+	// which the events happened to be scheduled.
 	PrioTopology Priority = -20 // topology changes (mobility, rerouting)
 	PrioHardware Priority = -10 // hardware state machines, medium
 	PrioIRQ      Priority = 0   // interrupt dispatch
@@ -99,18 +99,6 @@ type Event struct {
 	// idx is the event's index inside whichever binary heap holds it
 	// (ready, overflow, or the legacy heap queue).
 	idx int32
-
-	// birth is the simulated time at which the event was scheduled. A Group
-	// coordinator uses it as a tie-break when merging events from different
-	// partitions: two events scheduled at different instants in a serial run
-	// would have gotten ordered sequence numbers, so (at, prio, birth)
-	// recovers that order without a shared counter.
-	birth Ticks
-	// marked flags events that must never run inside a parallel window
-	// (battery depletion checks: their handler can kill a node, a world-level
-	// effect). runWindow stops in front of a marked event and leaves it for
-	// the coordinator to step serially.
-	marked bool
 }
 
 const (
@@ -161,30 +149,18 @@ type queue interface {
 	// pop removes and returns the earliest event's payload. Only valid
 	// immediately after next returned ok.
 	pop() fired
-	// head returns the earliest pending event for inspection (time, priority,
-	// birth, marked). Only valid immediately after next returned ok; the
-	// event remains owned by the queue.
-	head() *Event
 	// cancel removes a pending event.
 	cancel(e *Event)
 	// len reports how many events are pending.
 	len() int
 }
 
-// Simulator is a single-threaded discrete-event scheduler. Under a Group it
-// is one partition's scheduler: its events are stepped either by a worker
-// inside a bounded parallel window or by the coordinator's serial merge, but
-// never by both at once, so Simulator itself stays lock-free.
+// Simulator is a single-threaded discrete-event scheduler.
 type Simulator struct {
 	now    Ticks
 	seq    uint64
 	q      queue
 	halted bool
-
-	// pledges are announced future medium transmits (see Pledge). The
-	// partition that owns this simulator arms and drops them; the Group
-	// coordinator reads them between windows to bound the parallel horizon.
-	pledges []*Pledge
 }
 
 // New returns an empty simulator positioned at time zero, backed by the
@@ -218,21 +194,7 @@ func (s *Simulator) Schedule(at Ticks, prio Priority, fn func()) Handle {
 		panic("sim: schedule with nil function")
 	}
 	s.seq++
-	h := s.q.schedule(at, prio, s.seq, fn, nil, nil)
-	h.e.birth, h.e.marked = s.now, false
-	return h
-}
-
-// ScheduleMarked is Schedule for events whose handler may have effects beyond
-// this simulator's own partition — battery depletion checks that can kill a
-// node. A Group never dispatches a marked event inside a parallel window; the
-// coordinator steps it serially, in global merge order, while every other
-// partition is parked. Under a plain single-partition Run it behaves exactly
-// like Schedule.
-func (s *Simulator) ScheduleMarked(at Ticks, prio Priority, fn func()) Handle {
-	h := s.Schedule(at, prio, fn)
-	h.e.marked = true
-	return h
+	return s.q.schedule(at, prio, s.seq, fn, nil, nil)
 }
 
 // ScheduleArg registers fn(arg) to run at the absolute time at. It is the
@@ -247,9 +209,7 @@ func (s *Simulator) ScheduleArg(at Ticks, prio Priority, fn func(any), arg any) 
 		panic("sim: schedule with nil function")
 	}
 	s.seq++
-	h := s.q.schedule(at, prio, s.seq, nil, fn, arg)
-	h.e.birth, h.e.marked = s.now, false
-	return h
+	return s.q.schedule(at, prio, s.seq, nil, fn, arg)
 }
 
 // After schedules fn to run d ticks from now.
@@ -321,106 +281,4 @@ func dispatch(f fired) {
 		return
 	}
 	f.afn(f.arg)
-}
-
-// Pledge announces a future shared-medium transmit: "an event on this
-// simulator will touch the medium no earlier than at". The radio arms one
-// when it schedules a CSMA backoff and drops it when the transmit executes
-// (or the radio is forced off), so between windows the Group coordinator can
-// bound the next parallel horizon by the earliest armed pledge. A pledge may
-// outlive its nominal time — a busy CPU defers the backoff IRQ — in which
-// case the horizon simply stops advancing past it and the deferred transmit
-// executes serially.
-//
-// The zero Pledge is unarmed. A Pledge belongs to the simulator it was armed
-// on and is only touched by that partition's own events (or the serial
-// coordinator), never concurrently.
-type Pledge struct {
-	at  Ticks
-	pos int32 // index+1 in s.pledges; 0 = unarmed
-}
-
-// Pledge arms (or re-arms) p at the given time.
-func (s *Simulator) Pledge(p *Pledge, at Ticks) {
-	p.at = at
-	if p.pos == 0 {
-		s.pledges = append(s.pledges, p)
-		p.pos = int32(len(s.pledges))
-	}
-}
-
-// Unpledge drops an armed pledge. Dropping an unarmed pledge is a no-op.
-func (s *Simulator) Unpledge(p *Pledge) {
-	if p.pos == 0 {
-		return
-	}
-	i := int(p.pos) - 1
-	last := len(s.pledges) - 1
-	if i != last {
-		s.pledges[i] = s.pledges[last]
-		s.pledges[i].pos = int32(i) + 1
-	}
-	s.pledges[last] = nil
-	s.pledges = s.pledges[:last]
-	p.pos = 0
-}
-
-// pledgeFloor returns the earliest armed pledge time, or math.MaxInt64.
-func (s *Simulator) pledgeFloor() Ticks {
-	floor := Ticks(math.MaxInt64)
-	for _, p := range s.pledges {
-		if p.at < floor {
-			floor = p.at
-		}
-	}
-	return floor
-}
-
-// peek settles the queue up to limit and returns the earliest pending event,
-// or nil. The event stays owned by the queue; it is only valid until the next
-// schedule/pop/cancel.
-func (s *Simulator) peek(limit Ticks) *Event {
-	if _, ok := s.q.next(limit); !ok {
-		return nil
-	}
-	return s.q.head()
-}
-
-// stepHead pops and dispatches the earliest event. Only valid immediately
-// after peek returned non-nil.
-func (s *Simulator) stepHead() {
-	t, _ := s.q.next(math.MaxInt64)
-	f := s.q.pop()
-	s.now = t
-	dispatch(f)
-}
-
-// runWindow dispatches every unmarked event with at <= limit and returns the
-// count. It stops in front of a marked event (leaving it queued) so world-
-// level effects — node death — only ever execute under the coordinator.
-// This is the per-partition body of a Group's parallel window.
-func (s *Simulator) runWindow(limit Ticks) int {
-	n := 0
-	for {
-		t, ok := s.q.next(limit)
-		if !ok {
-			return n
-		}
-		if s.q.head().marked {
-			return n
-		}
-		f := s.q.pop()
-		s.now = t
-		dispatch(f)
-		n++
-	}
-}
-
-// lift advances the clock without dispatching, so cross-partition schedules
-// issued at the global merge time are never "in the past" for this
-// simulator. It never moves the clock backwards.
-func (s *Simulator) lift(t Ticks) {
-	if t > s.now {
-		s.now = t
-	}
 }

@@ -101,13 +101,9 @@ func (w *wheel) schedule(at Ticks, prio Priority, seq uint64, fn func(), afn fun
 }
 
 // place files an event by the highest byte in which its time differs from
-// the cursor. Events at or before the cursor are due and go straight to the
-// ready heap: a Group coordinator peeking one partition can settle its
-// cursor ahead of another partition's merge time, so a cross-partition
-// schedule (a frame-end event delivered to this wheel) may land at or below
-// the cursor. The ready heap orders by (at, prio, seq), so such events still
-// dispatch in exact global order; a single-partition run never schedules
-// below its cursor and is unaffected.
+// the cursor. Events due at the cursor go straight to the ready heap; none
+// lands below it, because Schedule rejects times before Now and Now never
+// trails the cursor.
 func (w *wheel) place(e *Event) {
 	if e.at <= w.cur {
 		w.readyPush(e)
@@ -287,15 +283,11 @@ func (w *wheel) cancel(e *Event) {
 	w.n--
 }
 
-// head returns the earliest pending event. Only valid right after next
-// returned ok, which guarantees the ready heap is primed.
-func (w *wheel) head() *Event { return w.ready[0] }
-
 // --- ready heap: (at, prio, seq) min-heap of due events ---
 //
-// A single-partition wheel only ever holds one instant here, so the at
-// comparison is vestigial for it; under a Group, below-cursor deliveries
-// from other partitions make the times genuinely mixed.
+// Every ready event is due at the cursor, so the at key never decides an
+// order here; it is compared anyway so the heap's order is the queue's full
+// (at, prio, seq) contract on its own, not one that leans on place.
 
 func readyLess(a, b *Event) bool {
 	if a.at != b.at {

@@ -11,9 +11,8 @@ import (
 // (typically: radio still booting), and a skipped entry is exactly what the
 // recorder would not have captured, so record-then-replay round-trips.
 //
-// record (may be nil) observes every fire with its scheduled tick; it runs
-// in the node's own event context, so a per-slot recorder hook is
-// single-writer under partitioned stepping.
+// record (may be nil) observes every fire with its scheduled tick, in the
+// node's own event context.
 //
 // Call Drive with the CPU bound to the activity the sends should be charged
 // to: the kernel timer captures the current activity when armed and restores

@@ -32,9 +32,8 @@ type Event struct {
 }
 
 // Recorder captures a run's realized send schedule. Each sender gets its own
-// slot — a single-writer slice, because under a partitioned world each
-// node's events run on its partition's goroutine during parallel windows —
-// and the merge into one sorted event stream happens only after the run.
+// slot, and the merge into one sorted event stream happens only after the
+// run.
 type Recorder struct {
 	ids   []core.NodeID
 	times [][]units.Ticks

@@ -16,9 +16,11 @@
 //     shaped run that recorded it.
 //   - Generated schedules are phase-staggered onto disjoint tick residues:
 //     sender slot i only ever sends on ticks ≡ i (mod number-of-senders), so
-//     no two senders can share a send tick. Independent same-tick events are
-//     the one thing a partitioned run cannot order reproducibly; the stagger
-//     makes shaped load tie-free by construction, for any shape, any seed.
+//     no two senders can share a send tick. Same-tick sends from independent
+//     senders would be ordered only by the order their timers happened to
+//     be armed; the stagger makes shaped load tie-free by construction, for
+//     any shape, any seed. The residues are part of every shaped workload:
+//     changing the stagger re-derives every shaped run.
 //   - Replay sources bypass the stagger: their times were recorded from an
 //     already tie-free run and must be re-armed exactly as written.
 //
@@ -259,8 +261,8 @@ func Sources(sp *Spec, seed uint64, ids []core.NodeID) ([]Source, error) {
 // staggered maps a raw schedule onto the slot's tick residue class: every
 // emitted tick ≡ slot (mod stride), each within stride ticks of the raw
 // time, successive ticks at least stride apart. With senders on disjoint
-// residues, two senders can never share a send tick — the tie-freedom
-// partitioned stepping requires — at a worst-case timing cost of
+// residues, two senders can never share a send tick, so the schedule is
+// tie-free and deterministic, at a worst-case timing cost of
 // number-of-senders microseconds, far below a frame's airtime.
 type staggered struct {
 	src          Source

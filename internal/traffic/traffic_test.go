@@ -72,7 +72,7 @@ func TestShapesMonotonicAndDeterministic(t *testing.T) {
 	}
 }
 
-// TestStaggerTieFree pins the partitioning contract: across every generated
+// TestStaggerTieFree pins the tie-free contract: across every generated
 // shape, no two sender slots ever share a send tick, because slot i only
 // emits ticks ≡ i (mod senders).
 func TestStaggerTieFree(t *testing.T) {
